@@ -1,5 +1,5 @@
 //! Scale benchmark with machine-readable output: the work-stealing
-//! scheduler against the sequential lockstep driver on a large
+//! scheduler against its one-worker (sequential) schedule on a large
 //! mem-backend fleet, the sparse wire codec against the dense baseline
 //! on the Table-IV synthetic workload, and the **user-sharded** fleet
 //! arms (each node hosts a contiguous block of virtual users, up to the
@@ -145,8 +145,8 @@ fn run_codec_arm(sharing: SharingMode, codec: WireCodec, epochs: usize) -> Codec
 /// The join-wave arm: a quarter of the ids are not founders but join in
 /// waves (spread over the run's early epochs, sponsor-bootstrapped),
 /// and one founder leaves gracefully near the end — the
-/// dynamic-membership stress shape. Run under both lockstep and the
-/// work-stealing pool so the artifact doubles as a view-transition
+/// dynamic-membership stress shape. Run under one worker and one per
+/// core so the artifact doubles as a view-transition
 /// equivalence proof at scale.
 fn run_join_wave(n: usize, epochs: usize) -> (f64, f64, usize, EngineResult) {
     assert!(epochs >= 3, "join wave needs at least 3 epochs");
@@ -171,12 +171,12 @@ fn run_join_wave(n: usize, epochs: usize) -> (f64, f64, usize, EngineResult) {
             .run("join-wave", &mut nodes);
         (start.elapsed().as_secs_f64(), result)
     };
-    let (seq_secs, seq) = run(Driver::Lockstep { parallel: false });
+    let (seq_secs, seq) = run(Driver::WorkSteal { workers: 1 });
     let (pool_secs, pool) = run(Driver::WorkSteal { workers: 0 });
     assert_eq!(
         seq.trace.final_rmse().map(f64::to_bits),
         pool.trace.final_rmse().map(f64::to_bits),
-        "join-wave run diverged between lockstep and the work-stealing pool"
+        "join-wave run diverged between one worker and one per core"
     );
     (seq_secs, pool_secs, joiners, pool)
 }
@@ -242,7 +242,7 @@ fn run_shard_arm(
     let start = Instant::now();
     let result = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(shards),
-        engine_config(epochs, Driver::Lockstep { parallel: false }),
+        engine_config(epochs, Driver::WorkSteal { workers: 1 }),
     )
     .run("shard", &mut nodes);
     let secs = start.elapsed().as_secs_f64();
@@ -287,11 +287,11 @@ fn main() {
 
     // Warm both drivers (allocator, page cache) before timing anything,
     // so run order does not bias the comparison.
-    let _ = run_driver(64, 1, Driver::Lockstep { parallel: false });
+    let _ = run_driver(64, 1, Driver::WorkSteal { workers: 1 });
     let _ = run_driver(64, 1, Driver::WorkSteal { workers: 0 });
 
     eprintln!("[bench_scale] {nodes} nodes x {epochs} epochs, sequential driver...");
-    let (seq_secs, seq) = run_driver(nodes, epochs, Driver::Lockstep { parallel: false });
+    let (seq_secs, seq) = run_driver(nodes, epochs, Driver::WorkSteal { workers: 1 });
     eprintln!("[bench_scale] work-stealing pool ({host_cpus} workers)...");
     let (pool_secs, pool) = run_driver(nodes, epochs, Driver::WorkSteal { workers: 0 });
 

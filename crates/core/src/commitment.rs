@@ -25,7 +25,7 @@
 //!   node's.
 //!
 //! Because model trajectories are bit-identical across
-//! mem/channel/tcp × lockstep/work-steal (the cross-backend oracle), the
+//! mem/channel/tcp × work-steal/thread-per-node (the cross-backend oracle), the
 //! chained digests are too — the challenger can audit any backend's run
 //! by replaying on any other backend.
 

@@ -7,16 +7,23 @@
 //! [`Transport`], so the same code drives:
 //!
 //! * the **discrete-event simulator** — [`MemNetwork`](rex_net::MemNetwork)
-//!   fabric, [`Driver::Lockstep`], [`TimeAxis::Simulated`];
+//!   fabric, [`Driver::WorkSteal`], [`TimeAxis::Simulated`];
 //! * the **real-thread deployment** —
 //!   [`ChannelTransport`](rex_net::ChannelTransport),
 //!   [`Driver::ThreadPerNode`], [`TimeAxis::Wall`];
 //! * the **real-socket deployment** —
 //!   [`TcpTransport`](rex_net::TcpTransport), either driver: frames cross
-//!   the kernel's TCP stack, and the `rex-node` binary runs the same node
-//!   loop one process per node;
+//!   the kernel's TCP stack, and the `rex-node` binary runs the same
+//!   per-node loop ([`crate::node_loop::run_node_loop`]) one process per
+//!   node;
 //! * the **centralized baseline** — a one-node fabric with no neighbours
 //!   (see [`crate::centralized`]).
+//!
+//! There are two schedules. [`Driver::WorkSteal`] (and its
+//! bounded-staleness variant) runs single-owner rounds over the fabric
+//! view on a fixed worker pool; `workers: 1` is the sequential schedule.
+//! [`Driver::ThreadPerNode`] runs [`crate::node_loop::run_node_loop`] on
+//! one scoped thread per node, over split endpoints.
 //!
 //! The unified entry point [`crate::runner::run`] (selecting a
 //! [`crate::runner::Backend`]) is a thin configuration shim over
@@ -33,14 +40,13 @@
 //!
 //! # Dynamic membership
 //! [`EngineConfig::membership`] attaches a seeded
-//! [`MembershipPlan`]: the engine advances a [`MembershipView`] at
-//! every round boundary and applies its transitions — joins with late
-//! attestation and sponsored raw-share bootstraps, graceful leaves with
-//! live topology rewiring — before any inbox of the epoch is drained.
-//! Non-members sit rounds out exactly like crash-stopped nodes;
-//! `tests/membership.rs` and the `golden_membership` fixture hold the
-//! transitions bit-identical across every lockstep-shaped driver ×
-//! backend combination.
+//! [`MembershipPlan`]: the view advances at every round boundary and its
+//! transitions — joins with late attestation and sponsored raw-share
+//! bootstraps, graceful leaves with live topology rewiring — apply
+//! before any inbox of the epoch is drained. Non-members sit rounds out
+//! exactly like crash-stopped nodes; `tests/membership.rs` and the
+//! `golden_membership` fixture hold the transitions bit-identical across
+//! every driver × backend combination.
 //!
 //! # Resilience
 //! [`EngineConfig::faults`] attaches a seeded [`FaultPlan`]. The engine
@@ -58,6 +64,8 @@
 use crate::config::ExecutionMode;
 use crate::membership::{MembershipPlan, MembershipView, ViewTransition};
 use crate::node::{EpochReport, Node};
+use crate::node_loop::run_node_loop;
+use crate::pool::{ShutdownGuard, WorkStealPool};
 use crate::setup::TeeDirectory;
 use crate::setup::{establish_tee_with_directory, overlay_of, prune_to_overlay, SetupReport};
 use rex_ml::Model;
@@ -65,12 +73,12 @@ use rex_net::fault::FaultPlan;
 use rex_net::link::LinkModel;
 use rex_net::mem::Envelope;
 use rex_net::stats::{DeliveryStats, TrafficStats};
-use rex_net::transport::{Clock, Endpoint, Transport, WallClock};
+use rex_net::transport::{Clock, Endpoint, Transport, TransportError, WallClock};
 use rex_sim::clock::VirtualClock;
 use rex_sim::stage::StageTimes;
 use rex_sim::trace::{EpochRecord, ExperimentTrace};
 use std::marker::PhantomData;
-use std::sync::{Arc, Barrier};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Which time axis the experiment trace records.
@@ -89,28 +97,23 @@ pub enum TimeAxis {
 /// How node epochs are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// Single-owner rounds over the fabric view: drain every inbox, run
-    /// every node (optionally on a scoped thread pool), apply sends in
-    /// node order. Works with any [`Transport`].
-    Lockstep {
-        /// Run each epoch's nodes on a scoped thread pool (recommended
-        /// above ~50 nodes; per-node results are identical either way).
-        parallel: bool,
-    },
-    /// One OS thread per node over split endpoints, synchronized by a
-    /// barrier per epoch — the paper's deployment shape. Requires a
+    /// One OS thread per node over split endpoints, each running
+    /// [`crate::node_loop::run_node_loop`] — the paper's deployment
+    /// shape, and the same loop the `rex-node` binary runs. Requires a
     /// transport whose [`Transport::into_endpoints`] returns `Some`.
     ThreadPerNode,
-    /// Lockstep rounds executed by a **fixed work-stealing worker pool**
-    /// ([`crate::pool`]): workers stay alive across epochs and steal node
-    /// epochs from each other's deques, so skewed per-node costs (growing
-    /// stores, crashed nodes) no longer stall a whole chunk. Scales the
-    /// fabric view to 1000+ nodes in-process; results are bit-identical
-    /// to [`Driver::Lockstep`] (outputs are keyed by node id and sends
-    /// are applied in canonical node order after each phase). Works with
+    /// Single-owner rounds over the fabric view, executed by a **fixed
+    /// work-stealing worker pool** ([`crate::pool`]): workers stay alive
+    /// across epochs and steal node epochs from each other's deques, so
+    /// skewed per-node costs (growing stores, crashed nodes) never stall
+    /// a whole chunk. Scales the fabric view to 1000+ nodes in-process.
+    /// Outputs are keyed by node id and sends are applied in canonical
+    /// node order after each phase, so every worker count is
+    /// bit-identical; `workers: 1` is the sequential schedule. Works with
     /// any [`Transport`] and either time axis.
     WorkSteal {
-        /// Worker threads; `0` means one per available CPU core.
+        /// Worker threads; `0` means one per available CPU core, capped
+        /// at the node count.
         workers: usize,
     },
     /// **Bounded-staleness asynchronous rounds**: the epoch barrier
@@ -120,15 +123,15 @@ pub enum Driver {
     /// the canonical-order rule (ascending sender id, per-sender FIFO,
     /// stale before fresh). This is the speed-vs-fidelity axis the
     /// deployed barrier-free `rex-node` loop runs on; in-process the
-    /// engine models it deterministically: which neighbours are "late"
-    /// at node `v` in epoch `e` is drawn from a seeded hash of
-    /// `(seed, e, sender, v)`, so a fixed `(seed, k)` yields a
-    /// bit-identical trajectory on any backend — and `k ≥ max degree`
-    /// degenerates to [`Driver::Lockstep`] exactly. Staleness is
-    /// bounded at one epoch: a share deferred once is delivered at the
-    /// next epoch unconditionally. Not composable with fault or
-    /// membership plans (those schedules are keyed to synchronized
-    /// round boundaries).
+    /// engine models it deterministically on the work-stealing pool:
+    /// which neighbours are "late" at node `v` in epoch `e` is drawn
+    /// from a seeded hash of `(seed, e, sender, v)`, so a fixed
+    /// `(seed, k)` yields a bit-identical trajectory on any backend —
+    /// and `k ≥ max degree` degenerates to [`Driver::WorkSteal`]
+    /// exactly. Staleness is bounded at one epoch: a share deferred once
+    /// is delivered at the next epoch unconditionally. Not composable
+    /// with fault or membership plans (those schedules are keyed to
+    /// synchronized round boundaries).
     BoundedAsync {
         /// Minimum distinct neighbour shares a node waits for per epoch.
         /// `0` is legal (pure gossip: every share may arrive late).
@@ -163,13 +166,12 @@ pub struct EngineConfig {
     /// [`rex_net::fault::FaultyTransport`] carrying the same plan.
     pub faults: Option<FaultPlan>,
     /// Dynamic-membership schedule (joins with attested state bootstrap,
-    /// graceful leaves with live topology rewiring). The engine advances
-    /// a [`MembershipView`] at every round boundary and applies its
-    /// transitions before any inbox of the epoch is drained, so a
-    /// sponsor's bootstrap lands in the joiner's first inbox. Supported
-    /// by [`Driver::Lockstep`] and [`Driver::WorkSteal`] (the deployed
-    /// `rex-node` loop implements the same transitions over its own
-    /// endpoint); [`Driver::ThreadPerNode`] rejects a non-`None` plan.
+    /// graceful leaves with live topology rewiring). The view advances
+    /// at every round boundary and its transitions apply before any
+    /// inbox of the epoch is drained, so a sponsor's bootstrap lands in
+    /// the joiner's first inbox. Supported by [`Driver::WorkSteal`] and
+    /// [`Driver::ThreadPerNode`]; [`Driver::BoundedAsync`] rejects a
+    /// non-`None` plan.
     pub membership: Option<MembershipPlan>,
 }
 
@@ -179,7 +181,7 @@ impl Default for EngineConfig {
             epochs: 100,
             execution: ExecutionMode::Native,
             time: TimeAxis::Simulated(LinkModel::default()),
-            driver: Driver::Lockstep { parallel: true },
+            driver: Driver::WorkSteal { workers: 0 },
             processes_per_platform: 1,
             seed: 0x1234,
             faults: None,
@@ -199,46 +201,15 @@ pub struct EngineResult {
     pub final_stats: Vec<TrafficStats>,
 }
 
-/// What one node's epoch hands back to its driver: encoded outgoing
-/// messages as `(destination, bytes)` pairs, plus the report.
-type EpochOutput = (Vec<(usize, Vec<u8>)>, EpochReport);
-
-/// What one node's thread records per epoch: the wall timestamp, the
-/// report (`None` while crash-stopped), and the endpoint's outgoing
-/// delivery accounting for the epoch.
-type ThreadEpoch = (u64, Option<EpochReport>, DeliveryStats);
-
-/// What one node's thread hands back to the engine: the (trained) node,
-/// its per-epoch records, and its traffic counters.
-type NodeRun<M> = (Node<M>, Vec<ThreadEpoch>, TrafficStats);
-
-/// Uniform mutable access to the fleet for the lockstep-shaped drivers,
-/// so membership transitions are implemented once whether the nodes live
-/// in a plain slice ([`Driver::Lockstep`]) or inside the work-stealing
-/// pool's slots ([`Driver::WorkSteal`]).
-pub(crate) trait Fleet<M: Model> {
-    /// Runs `f` on node `id` and returns its result.
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R;
-}
-
-/// [`Fleet`] over a plain mutable slice.
-struct SliceFleet<'a, M: Model>(&'a mut [Node<M>]);
-
-impl<M: Model> Fleet<M> for SliceFleet<'_, M> {
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R {
-        f(&mut self.0[id])
-    }
-}
-
-/// [`Fleet`] over the work-stealing pool's slots (driver thread only,
-/// between phases — no worker holds a slot then).
-struct PoolFleet<'a, M: Model>(&'a crate::pool::WorkStealPool<M>);
-
-impl<M: Model> Fleet<M> for PoolFleet<'_, M> {
-    fn mutate<R>(&mut self, id: usize, f: impl FnOnce(&mut Node<M>) -> R) -> R {
-        self.0.with_node(id, f)
-    }
-}
+/// What one node's thread hands back under [`Driver::ThreadPerNode`]:
+/// the (trained) node, its per-epoch reports (`None` while sitting out),
+/// its per-round `(end ns, delivery)` records, and its traffic counters.
+type NodeRun<M> = (
+    Node<M>,
+    Vec<Option<EpochReport>>,
+    Vec<(u64, DeliveryStats)>,
+    TrafficStats,
+);
 
 /// The transport-generic protocol engine. See the module docs.
 pub struct Engine<M: Model, T: Transport> {
@@ -267,12 +238,11 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// # Panics
     /// If `nodes` is empty, its length disagrees with the transport,
     /// [`Driver::ThreadPerNode`] is requested on a transport that cannot
-    /// split into endpoints, [`Driver::ThreadPerNode`] is combined with
-    /// [`TimeAxis::Simulated`] (thread-per-node epochs are timestamped
-    /// with real elapsed time, so a simulated axis cannot be honoured)
-    /// or with a membership plan (view transitions are driven by the
-    /// lockstep-shaped round loop; the deployed equivalent lives in
-    /// `rex-node`), or a membership plan fails validation.
+    /// split into endpoints or combined with [`TimeAxis::Simulated`]
+    /// (thread-per-node epochs are timestamped with real elapsed time, so
+    /// a simulated axis cannot be honoured), [`Driver::BoundedAsync`] is
+    /// combined with a fault or membership plan, a membership plan fails
+    /// validation, or a node's loop fails.
     pub fn run(mut self, name: &str, nodes: &mut Vec<Node<M>>) -> EngineResult {
         assert!(!nodes.is_empty(), "engine needs at least one node");
         assert_eq!(
@@ -286,11 +256,6 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 (Driver::ThreadPerNode, TimeAxis::Simulated(_))
             ),
             "Driver::ThreadPerNode records wall-clock time; use TimeAxis::Wall"
-        );
-        assert!(
-            !(matches!(self.cfg.driver, Driver::ThreadPerNode) && self.cfg.membership.is_some()),
-            "Driver::ThreadPerNode does not support membership plans; \
-             use Driver::Lockstep, Driver::WorkSteal, or the rex-node loop"
         );
         assert!(
             !(matches!(self.cfg.driver, Driver::BoundedAsync { .. })
@@ -344,50 +309,36 @@ impl<M: Model, T: Transport> Engine<M, T> {
         };
 
         match self.cfg.driver {
-            Driver::Lockstep { parallel } => {
-                self.run_lockstep(name, nodes, setup_ns, parallel, view, tee)
-            }
-            Driver::ThreadPerNode => self.run_thread_per_node(name, nodes, setup_ns),
+            Driver::ThreadPerNode => self.run_thread_per_node(name, nodes, setup_ns, view, tee),
             Driver::WorkSteal { workers } => {
-                self.run_work_steal(name, nodes, setup_ns, workers, view, tee)
+                self.run_pooled(name, nodes, setup_ns, workers, view, tee)
             }
-            // Bounded staleness reuses the lockstep executor; the
-            // arrival model lives in `run_rounds` (keyed off the
-            // driver), so any lockstep-shaped executor would see the
-            // same deferred inboxes.
-            Driver::BoundedAsync { .. } => {
-                self.run_lockstep(name, nodes, setup_ns, true, view, tee)
-            }
+            // Bounded staleness runs the same pooled rounds; the arrival
+            // model lives in `run_rounds` (keyed off the driver).
+            Driver::BoundedAsync { .. } => self.run_pooled(name, nodes, setup_ns, 0, view, tee),
         }
     }
 
-    /// The shared round loop of the lockstep-shaped drivers
-    /// ([`Driver::Lockstep`] and [`Driver::WorkSteal`]): per epoch —
-    /// `epoch_begin`, **membership view transition** (rewire the
-    /// overlay, late-attest materializing edges, send sponsor
-    /// bootstraps, flush so they land in this epoch's inboxes), crash +
-    /// membership mask, drain every mailbox (a down or non-member
-    /// node's inbox is drained and discarded), `execute` (run every
-    /// live node, however the driver schedules that), apply sends in
+    /// The round loop of the pooled drivers: per epoch — `epoch_begin`,
+    /// **membership view transition** (rewire the overlay, late-attest
+    /// materializing edges, send sponsor bootstraps, flush so they land
+    /// in this epoch's inboxes), crash + membership mask, drain every
+    /// mailbox (a down or non-member node's inbox is drained and
+    /// discarded), one pool phase over the live nodes, sends applied in
     /// deterministic node order, `flush`, drain delivery counters,
-    /// advance the clock, record the trace. Keeping this sequencing —
-    /// including the view transitions — in exactly one place is what
-    /// makes the drivers bit-identical *by construction*: a scheduling
-    /// strategy only supplies `execute`, which receives the pre-drained
-    /// inboxes and the epoch's down mask and returns per-node outputs in
-    /// node order (`None` for nodes that sat the epoch out).
-    #[allow(clippy::too_many_arguments)]
-    fn run_rounds<FL: Fleet<M>>(
+    /// advance the clock, record the trace. Scheduling inside a phase is
+    /// unobservable (see [`crate::pool`]), which is what makes every
+    /// worker count bit-identical.
+    fn run_rounds(
         cfg: &EngineConfig,
         transport: &mut T,
         name: &str,
         setup_ns: u64,
-        n: usize,
         mut view: Option<&mut MembershipView>,
         tee: Option<&TeeDirectory>,
-        fleet: &mut FL,
-        mut execute: impl FnMut(&mut FL, Vec<Vec<Envelope>>, &[bool]) -> Vec<Option<EpochOutput>>,
+        pool: &WorkStealPool<M>,
     ) -> ExperimentTrace {
+        let n = transport.num_nodes();
         let mut clock: Box<dyn Clock> = match &cfg.time {
             TimeAxis::Simulated(_) => Box::new(VirtualClock::new()),
             TimeAxis::Wall => Box::new(WallClock::start()),
@@ -413,7 +364,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
                     transport.view_sync(epoch, &t.joined, &t.left);
                     Self::apply_transition(
                         &t,
-                        fleet,
+                        pool,
                         transport,
                         tee,
                         v.plan().bootstrap_points,
@@ -449,13 +400,18 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 }
             }
 
-            let results = execute(fleet, inboxes, &down);
+            for (id, inbox) in inboxes.into_iter().enumerate() {
+                pool.load(id, inbox);
+            }
+            let live: Vec<usize> = (0..n).filter(|&id| !down[id]).collect();
+            pool.run_phase(&live);
+            pool.check_panic();
 
             // Apply sends in deterministic node order, then make them
             // visible for the next round.
             let mut reports = Vec::with_capacity(n);
-            for (from, result) in results.into_iter().enumerate() {
-                match result {
+            for from in 0..n {
+                match pool.take_output(from) {
                     Some((outgoing, report)) => {
                         for (dest, bytes) in outgoing {
                             transport.send(from, dest, bytes);
@@ -483,17 +439,17 @@ impl<M: Model, T: Transport> Engine<M, T> {
     /// both ends, then sponsor bootstraps sent (skipped for a sponsor
     /// that is crash-stopped this epoch — its data, like everything else
     /// it would send, is lost).
-    fn apply_transition<FL: Fleet<M>>(
+    fn apply_transition(
         t: &ViewTransition,
-        fleet: &mut FL,
+        pool: &WorkStealPool<M>,
         transport: &mut T,
         tee: Option<&TeeDirectory>,
         bootstrap_points: usize,
         fault_down: &[bool],
     ) {
         for &(a, b) in &t.removed_edges {
-            fleet.mutate(a, |n| n.remove_neighbor(b));
-            fleet.mutate(b, |n| n.remove_neighbor(a));
+            pool.with_node(a, |n| n.remove_neighbor(b));
+            pool.with_node(b, |n| n.remove_neighbor(a));
         }
 
         if let Some(dir) = tee {
@@ -502,8 +458,8 @@ impl<M: Model, T: Transport> Engine<M, T> {
                 // first live partner (or, for a momentarily isolated
                 // joiner, the joiner's own enclave — same measurement)
                 // verifies the evidence before any session is installed.
-                let quote = fleet
-                    .mutate(j, |n| {
+                let quote = pool
+                    .with_node(j, |n| {
                         rex_tee::join::joiner_evidence(
                             dir.seed,
                             t.epoch,
@@ -526,34 +482,33 @@ impl<M: Model, T: Transport> Engine<M, T> {
                         }
                     })
                     .unwrap_or(j);
-                fleet
-                    .mutate(checker, |n| {
-                        rex_tee::join::verify_joiner(
-                            dir.seed,
-                            t.epoch,
-                            j,
-                            &quote,
-                            &dir.dcap,
-                            n.enclave_mut().expect("SGX fleet has enclaves"),
-                        )
-                    })
-                    .expect("honest joiner passes admission");
+                pool.with_node(checker, |n| {
+                    rex_tee::join::verify_joiner(
+                        dir.seed,
+                        t.epoch,
+                        j,
+                        &quote,
+                        &dir.dcap,
+                        n.enclave_mut().expect("SGX fleet has enclaves"),
+                    )
+                })
+                .expect("honest joiner passes admission");
             }
         }
 
         for &(a, b) in &t.added_edges {
-            fleet.mutate(a, |n| n.add_neighbor(b));
-            fleet.mutate(b, |n| n.add_neighbor(a));
+            pool.with_node(a, |n| n.add_neighbor(b));
+            pool.with_node(b, |n| n.add_neighbor(a));
             if let Some(dir) = tee {
-                let measurement = fleet.mutate(a, |n| {
+                let measurement = pool.with_node(a, |n| {
                     n.enclave_mut()
                         .expect("SGX fleet has enclaves")
                         .measurement()
                 });
                 let (sa, sb) =
                     rex_tee::join::late_session_pair(dir.seed, t.epoch, a, b, measurement);
-                fleet.mutate(a, |n| n.install_session(b, sa));
-                fleet.mutate(b, |n| n.install_session(a, sb));
+                pool.with_node(a, |n| n.install_session(b, sa));
+                pool.with_node(b, |n| n.install_session(a, sb));
             }
         }
 
@@ -561,49 +516,16 @@ impl<M: Model, T: Transport> Engine<M, T> {
             if bootstrap_points == 0 || fault_down[s] {
                 continue;
             }
-            let bytes = fleet.mutate(s, |n| n.bootstrap_for(j, bootstrap_points));
+            let bytes = pool.with_node(s, |n| n.bootstrap_for(j, bootstrap_points));
             transport.send(s, j, bytes);
         }
     }
 
-    /// Lockstep rounds over the fabric view.
-    fn run_lockstep(
-        mut self,
-        name: &str,
-        nodes: &mut [Node<M>],
-        setup_ns: u64,
-        parallel: bool,
-        mut view: Option<MembershipView>,
-        tee: Option<TeeDirectory>,
-    ) -> EngineResult {
-        let n = nodes.len();
-        let cfg = self.cfg.clone();
-        let mut fleet = SliceFleet(nodes);
-        let trace = Self::run_rounds(
-            &cfg,
-            &mut self.transport,
-            name,
-            setup_ns,
-            n,
-            view.as_mut(),
-            tee.as_ref(),
-            &mut fleet,
-            |fleet, inboxes, down| run_epoch(fleet.0, inboxes, down, parallel),
-        );
-
-        EngineResult {
-            trace,
-            setup_ns,
-            final_stats: self.transport.all_stats(),
-        }
-    }
-
-    /// Lockstep rounds on the fixed work-stealing pool: the same round
-    /// loop as [`Driver::Lockstep`] (shared via [`Engine::run_rounds`]),
-    /// but node epochs execute on workers that persist across epochs and
-    /// steal from each other. The fleet is owned by the pool for the run
-    /// and handed back afterwards.
-    fn run_work_steal(
+    /// Rounds on the fixed work-stealing pool ([`Driver::WorkSteal`] and
+    /// [`Driver::BoundedAsync`]): node epochs execute on workers that
+    /// persist across epochs and steal from each other. The fleet is
+    /// owned by the pool for the run and handed back afterwards.
+    fn run_pooled(
         mut self,
         name: &str,
         nodes: &mut Vec<Node<M>>,
@@ -623,8 +545,7 @@ impl<M: Model, T: Transport> Engine<M, T> {
         .min(n)
         .max(1);
 
-        let cfg = self.cfg.clone();
-        let pool = crate::pool::WorkStealPool::new(std::mem::take(nodes), workers);
+        let pool = WorkStealPool::new(std::mem::take(nodes), workers);
         let trace = std::thread::scope(|scope| {
             for w in 0..workers {
                 let pool = &pool;
@@ -633,33 +554,15 @@ impl<M: Model, T: Transport> Engine<M, T> {
             // Releases the workers on every exit path — including an
             // unwind from a transport failure or a re-raised worker
             // panic — so the scope join can never deadlock.
-            let _guard = crate::pool::ShutdownGuard(&pool);
-
-            let mut fleet = PoolFleet(&pool);
+            let _guard = ShutdownGuard(&pool);
             Self::run_rounds(
-                &cfg,
+                &self.cfg,
                 &mut self.transport,
                 name,
                 setup_ns,
-                n,
                 view.as_mut(),
                 tee.as_ref(),
-                &mut fleet,
-                |fleet, inboxes, down| {
-                    // Stage the pre-drained inputs, then run one pool
-                    // phase over the live ids.
-                    let pool = fleet.0;
-                    let mut live = Vec::with_capacity(n);
-                    for (id, inbox) in inboxes.into_iter().enumerate() {
-                        pool.load(id, inbox);
-                        if !down[id] {
-                            live.push(id);
-                        }
-                    }
-                    pool.run_phase(&live);
-                    pool.check_panic();
-                    (0..n).map(|id| pool.take_output(id)).collect()
-                },
+                &pool,
             )
         });
         *nodes = pool.into_nodes();
@@ -671,89 +574,78 @@ impl<M: Model, T: Transport> Engine<M, T> {
         }
     }
 
-    /// One OS thread per node over split endpoints.
+    /// One scoped OS thread per node over split endpoints, each running
+    /// [`run_node_loop`] behind a [`BarrierEndpoint`].
     fn run_thread_per_node(
         self,
         name: &str,
         nodes: &mut Vec<Node<M>>,
         setup_ns: u64,
+        view: Option<MembershipView>,
+        tee: Option<TeeDirectory>,
     ) -> EngineResult {
         let n = nodes.len();
         let epochs = self.cfg.epochs;
         let endpoints = self
             .transport
             .into_endpoints()
-            .expect("transport cannot split into per-node endpoints; use Driver::Lockstep");
+            .expect("transport cannot split into per-node endpoints; use Driver::WorkSteal");
         assert_eq!(endpoints.len(), n, "endpoint count disagrees with fleet");
 
-        let barrier = Arc::new(Barrier::new(n));
+        let barrier = RoundBarrier::new(n);
         let start = Instant::now();
-        let fleet = std::mem::take(nodes);
-        let plan = Arc::new(self.cfg.faults.clone());
-
-        let mut handles = Vec::with_capacity(n);
-        for (mut node, mut endpoint) in fleet.into_iter().zip(endpoints) {
-            let barrier = Arc::clone(&barrier);
-            let plan = Arc::clone(&plan);
-            handles.push(std::thread::spawn(move || {
-                let mut reports: Vec<ThreadEpoch> = Vec::with_capacity(epochs);
-                for epoch in 0..epochs {
-                    endpoint.epoch_begin(epoch);
-                    let inbox = endpoint.recv();
-                    let down = plan
-                        .as_ref()
-                        .as_ref()
-                        .is_some_and(|p| p.is_down(node.id(), epoch));
-                    // Everyone drains before anyone sends: without this a
-                    // fast peer's epoch-e message could land in a slow
-                    // node's epoch-e inbox, making delivery epochs racy
-                    // (and runs irreproducible across backends).
-                    barrier.wait();
-                    // A crash-stopped node discards its inbox and sits
-                    // the epoch out — but keeps serving the round
-                    // barriers, which are infrastructure, not protocol.
-                    let report = if down {
-                        drop(inbox);
-                        None
-                    } else {
-                        let (outgoing, report) = node.epoch(inbox);
-                        for (dest, bytes) in outgoing {
-                            endpoint.send(dest, bytes);
+        let (faults, tee) = (self.cfg.faults.as_ref(), tee.as_ref());
+        let runs: Vec<NodeRun<M>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = std::mem::take(nodes)
+                .into_iter()
+                .zip(endpoints)
+                .map(|(mut node, endpoint)| {
+                    let mut view = view.clone();
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let mut endpoint = BarrierEndpoint::new(endpoint, barrier, start);
+                        let mut reports = Vec::with_capacity(epochs);
+                        if let Err(e) = run_node_loop(
+                            &mut node,
+                            &mut endpoint,
+                            epochs,
+                            0,
+                            faults,
+                            view.as_mut(),
+                            tee,
+                            None,
+                            None,
+                            |_, report| reports.push(report.copied()),
+                        ) {
+                            panic!("{e}");
                         }
-                        Some(report)
-                    };
-                    // All sends of this epoch complete — and, for fabrics
-                    // with real propagation delay (TCP), are *delivered*
-                    // (wire-level barrier) — before anyone drains the
-                    // next epoch's inbox.
-                    endpoint.sync();
-                    let delivery = endpoint.take_delivery();
-                    barrier.wait();
-                    reports.push((start.elapsed().as_nanos() as u64, report, delivery));
-                }
-                (node, reports, endpoint.stats())
-            }));
-        }
-
-        // Threads were spawned in node order; join preserves it.
-        let joined: Vec<NodeRun<M>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        let final_stats: Vec<TrafficStats> = joined.iter().map(|(_, _, s)| *s).collect();
+                        let stats = endpoint.stats();
+                        (node, reports, std::mem::take(&mut endpoint.rounds), stats)
+                    })
+                })
+                .collect();
+            // Threads were spawned in node order; join preserves it.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        let final_stats: Vec<TrafficStats> = runs.iter().map(|(_, _, _, s)| *s).collect();
 
         let mut trace = ExperimentTrace::new(name);
         let mut cumulative_sgx_ns = 0u64;
         for epoch in 0..epochs {
             let mut end_ns = 0u64;
             let mut delivery = DeliveryStats::default();
-            let reports: Vec<Option<EpochReport>> = joined
+            // A node that left gracefully has no record past its leave.
+            let reports: Vec<Option<EpochReport>> = runs
                 .iter()
-                .map(|(_, per_epoch, _)| {
-                    let (t, report, node_delivery) = per_epoch[epoch];
-                    end_ns = end_ns.max(t);
-                    delivery.absorb(&node_delivery);
-                    report
+                .map(|(_, reports, rounds, _)| {
+                    if let Some((t, node_delivery)) = rounds.get(epoch) {
+                        end_ns = end_ns.max(*t);
+                        delivery.absorb(node_delivery);
+                    }
+                    reports.get(epoch).copied().flatten()
                 })
                 .collect();
             cumulative_sgx_ns += reports
@@ -771,13 +663,170 @@ impl<M: Model, T: Transport> Engine<M, T> {
         }
 
         // Hand the (trained) fleet back to the caller.
-        *nodes = joined.into_iter().map(|(node, _, _)| node).collect();
+        *nodes = runs.into_iter().map(|(node, _, _, _)| node).collect();
 
         EngineResult {
             trace,
             setup_ns,
             final_stats,
         }
+    }
+}
+
+/// The in-process barrier of [`Driver::ThreadPerNode`]: a reusable
+/// barrier whose parties can **leave**. A node's thread leaves when its
+/// loop returns — a graceful membership leave, an error, or a panic — so
+/// the remaining parties never wait for a thread that is gone.
+struct RoundBarrier {
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+struct BarrierState {
+    parties: usize,
+    arrived: usize,
+    generation: u64,
+}
+
+impl RoundBarrier {
+    fn new(parties: usize) -> Self {
+        RoundBarrier {
+            state: Mutex::new(BarrierState {
+                parties,
+                arrived: 0,
+                generation: 0,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BarrierState> {
+        // A panicking party never holds the lock across a panic point,
+        // but recovering keeps the unwind path from double-panicking.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Opens the next generation once every remaining party is waiting.
+    fn release_if_complete(&self, s: &mut BarrierState) {
+        if s.arrived > 0 && s.arrived >= s.parties {
+            s.arrived = 0;
+            s.generation += 1;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Blocks until every remaining party has called `wait` for this
+    /// generation.
+    fn wait(&self) {
+        let mut s = self.lock();
+        s.arrived += 1;
+        let generation = s.generation;
+        self.release_if_complete(&mut s);
+        while s.generation == generation {
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Removes one party for good, releasing the others when they were
+    /// only waiting for it.
+    fn leave(&self) {
+        let mut s = self.lock();
+        s.parties -= 1;
+        self.release_if_complete(&mut s);
+    }
+}
+
+/// The endpoint [`Driver::ThreadPerNode`] hands to the node loop: the
+/// fabric's own endpoint, with its drain and round barriers also waiting
+/// on the fleet's [`RoundBarrier`]. Channel endpoints' barriers are
+/// no-ops, so this is what keeps their rounds in step. At every round
+/// barrier it also records the epoch's end time and the endpoint's
+/// delivery counters for the trace. Dropping it — when the node's loop
+/// returns or unwinds — leaves the barrier.
+struct BarrierEndpoint<'a, E: Endpoint> {
+    inner: E,
+    barrier: &'a RoundBarrier,
+    start: Instant,
+    /// Set by the drain barrier: the next `try_sync` closes the round
+    /// (the view barrier is a `try_sync` too, but comes before the
+    /// drain).
+    drained: bool,
+    /// Per completed round: ns since the run started, and the delivery
+    /// counters of the round.
+    rounds: Vec<(u64, DeliveryStats)>,
+}
+
+impl<'a, E: Endpoint> BarrierEndpoint<'a, E> {
+    fn new(inner: E, barrier: &'a RoundBarrier, start: Instant) -> Self {
+        BarrierEndpoint {
+            inner,
+            barrier,
+            start,
+            drained: false,
+            rounds: Vec::new(),
+        }
+    }
+}
+
+impl<E: Endpoint> Drop for BarrierEndpoint<'_, E> {
+    fn drop(&mut self) {
+        self.barrier.leave();
+    }
+}
+
+impl<E: Endpoint> Endpoint for BarrierEndpoint<'_, E> {
+    fn id(&self) -> usize {
+        self.inner.id()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+
+    fn send(&mut self, to: usize, bytes: Vec<u8>) {
+        self.inner.send(to, bytes);
+    }
+
+    fn recv(&mut self) -> Vec<Envelope> {
+        self.inner.recv()
+    }
+
+    fn try_drain_barrier(&mut self) -> Result<(), TransportError> {
+        self.inner.try_drain_barrier()?;
+        self.barrier.wait();
+        self.drained = true;
+        Ok(())
+    }
+
+    fn try_sync(&mut self) -> Result<(), TransportError> {
+        self.inner.try_sync()?;
+        self.barrier.wait();
+        if std::mem::take(&mut self.drained) {
+            let end_ns = self.start.elapsed().as_nanos() as u64;
+            self.rounds.push((end_ns, self.inner.take_delivery()));
+        }
+        Ok(())
+    }
+
+    fn view_sync(
+        &mut self,
+        epoch: usize,
+        joined: &[usize],
+        left: &[usize],
+    ) -> Result<(), TransportError> {
+        self.inner.view_sync(epoch, joined, left)
+    }
+
+    fn join_evidence(&mut self, peer: usize) -> Option<Vec<u8>> {
+        self.inner.join_evidence(peer)
+    }
+
+    fn epoch_begin(&mut self, epoch: usize) {
+        self.inner.epoch_begin(epoch);
+    }
+
+    fn stats(&self) -> TrafficStats {
+        self.inner.stats()
     }
 }
 
@@ -872,63 +921,6 @@ fn down_mask(plan: Option<&FaultPlan>, n: usize, epoch: usize) -> Vec<bool> {
     }
 }
 
-/// Runs every live node's epoch once, sequentially or on a scoped thread
-/// pool; crash-stopped nodes (`down`) yield `None`. Results are in node
-/// order either way, so the two modes are bit-identical.
-fn run_epoch<M: Model>(
-    nodes: &mut [Node<M>],
-    inboxes: Vec<Vec<Envelope>>,
-    down: &[bool],
-    parallel: bool,
-) -> Vec<Option<EpochOutput>> {
-    let n = nodes.len();
-    if !parallel || n < 2 {
-        return nodes
-            .iter_mut()
-            .zip(inboxes)
-            .zip(down)
-            .map(|((node, inbox), &d)| if d { None } else { Some(node.epoch(inbox)) })
-            .collect();
-    }
-
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n);
-    let chunk = n.div_ceil(threads);
-    let mut inbox_chunks: Vec<Vec<Vec<Envelope>>> = Vec::with_capacity(threads);
-    let mut it = inboxes.into_iter();
-    loop {
-        let next: Vec<Vec<Envelope>> = it.by_ref().take(chunk).collect();
-        if next.is_empty() {
-            break;
-        }
-        inbox_chunks.push(next);
-    }
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
-            .chunks_mut(chunk)
-            .zip(inbox_chunks)
-            .zip(down.chunks(chunk))
-            .map(|((node_chunk, chunk_inboxes), chunk_down)| {
-                scope.spawn(move || {
-                    node_chunk
-                        .iter_mut()
-                        .zip(chunk_inboxes)
-                        .zip(chunk_down)
-                        .map(|((node, inbox), &d)| if d { None } else { Some(node.epoch(inbox)) })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("epoch worker panicked"))
-            .collect()
-    })
-}
-
 /// Folds one epoch's per-node reports into the trace record: fleet means
 /// over the **live** nodes, in node order — the folds are order-stable so
 /// runs are reproducible. Crash-stopped nodes (`None`) contribute nothing
@@ -983,5 +975,58 @@ fn aggregate_epoch(
         live_nodes: live.len(),
         delivery,
         commitment_root,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rex_net::ChannelTransport;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A party whose loop returns early, or panics, must release the
+    /// parties still waiting on the round barrier instead of stranding
+    /// them.
+    #[test]
+    fn departed_and_panicked_parties_release_the_barrier() {
+        // Leaked so the parties can run on plain threads: a regression
+        // then fails this test by timeout instead of hanging a scope join.
+        let barrier: &'static RoundBarrier = Box::leak(Box::new(RoundBarrier::new(3)));
+        let start = Instant::now();
+        let mut endpoints = ChannelTransport::new(3)
+            .into_endpoints()
+            .expect("channel fabric splits")
+            .into_iter()
+            .map(|e| BarrierEndpoint::new(e, barrier, start));
+        let (early, mut doomed, mut survivor) = (
+            endpoints.next().unwrap(),
+            endpoints.next().unwrap(),
+            endpoints.next().unwrap(),
+        );
+
+        // Party 0's loop returns before its first barrier.
+        std::thread::spawn(move || drop(early));
+        // Party 1 completes one round, then its loop panics.
+        let doomed = std::thread::spawn(move || {
+            doomed.try_drain_barrier().unwrap();
+            doomed.try_sync().unwrap();
+            panic!("node loop failed");
+        });
+        // Party 2 runs three full rounds.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..3 {
+                survivor.try_drain_barrier().unwrap();
+                survivor.try_sync().unwrap();
+            }
+            done.send(survivor.rounds.len()).unwrap();
+        });
+
+        let rounds = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the surviving party is stranded at the barrier");
+        assert_eq!(rounds, 3, "one record per completed round");
+        assert!(doomed.join().is_err(), "party 1 panicked");
     }
 }

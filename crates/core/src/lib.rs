@@ -25,14 +25,19 @@
 //! # Architecture: one engine, many backends
 //!
 //! All deployments run through a single transport-generic
-//! [`engine::Engine`]:
+//! [`engine::Engine`] and a single per-node round loop:
 //!
 //! * [`engine`] — the shared pipeline: TEE setup, the epoch loop
-//!   (lockstep, thread-per-node, or the work-stealing pool), and trace
-//!   aggregation, generic over `rex_net::Transport`;
+//!   (the work-stealing pool over the fabric view, or one thread per
+//!   node over split endpoints), and trace aggregation, generic over
+//!   `rex_net::Transport`;
+//! * [`node_loop`] — the one per-node round (view transition, drain,
+//!   barrier, epoch, send, barrier) over a `rex_net::Endpoint`: the
+//!   engine's thread-per-node driver runs it on one thread per node, and
+//!   the `rex-node` binary runs it once per OS process;
 //! * [`pool`] — the fixed work-stealing worker pool behind
 //!   [`engine::Driver::WorkSteal`], which scales the fabric view to
-//!   1000+ nodes in-process while staying bit-identical to lockstep;
+//!   1000+ nodes in-process; one worker is the sequential schedule;
 //! * [`membership`] — epoch-scoped views of the live fleet: online
 //!   joins with late attestation and sponsored raw-share bootstraps,
 //!   graceful leaves with live topology rewiring, all part of the
@@ -50,15 +55,13 @@
 //!   plus the [`setup::TeeDirectory`] late joins attest against;
 //! * [`runner::run`] — the single entry point over every deployment
 //!   style, selected by [`runner::Backend`]: `Simulated` (`MemNetwork`
-//!   fabric, lockstep rounds, simulated time — the discrete-event
+//!   fabric, pooled rounds, simulated time — the discrete-event
 //!   simulator at any node count), `Threaded` (`ChannelTransport`
 //!   fabric, one OS thread per node, wall-clock time — the paper's
 //!   8-node deployment) or `Centralized` (the engine's degenerate
 //!   no-fabric deployment behind [`centralized::run_baseline`], the
-//!   baseline curve). The pre-unification names `run_simulation`,
-//!   `run_threaded` and `run_centralized` survive as deprecated
-//!   one-line forwards.
-//!
+//!   baseline curve).
+
 //! # User shards
 //!
 //! A node may host a **user shard** — a contiguous block of user rows
@@ -82,12 +85,12 @@ pub mod config;
 pub mod engine;
 pub mod membership;
 pub mod node;
+pub mod node_loop;
 pub mod pool;
 pub mod runner;
 pub mod serve;
 pub mod setup;
 pub mod store;
-pub mod threaded;
 
 pub use builder::{build_dnn_nodes, build_mf_nodes, build_mf_nodes_sharded, NodeSeeds};
 pub use centralized::run_baseline;
@@ -96,8 +99,6 @@ pub use config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode, Wi
 pub use engine::{Driver, Engine, EngineConfig, EngineResult, TimeAxis};
 pub use membership::{JoinSpec, LeaveSpec, MembershipPlan, MembershipView, ViewTransition};
 pub use node::{Node, NodeBuilder};
-#[allow(deprecated)]
-pub use runner::run_simulation;
 pub use runner::{run, Backend, SimulationConfig, ThreadedConfig};
 pub use serve::{
     naive_top_k, score_one, snapshot_digest, ModelSnapshot, QueryStream, ScoredItem, Scorer,

@@ -2,8 +2,9 @@
 //! runtime interactions of Algorithm 1.
 //!
 //! One [`Node::epoch`] call performs merge→train→share→test exactly once.
-//! Drivers (`runner`, `threaded`) own scheduling: they deliver each node's
-//! inbox, forward its outgoing messages, and assemble the global trace.
+//! Drivers (the engine's pool, [`crate::node_loop`]) own scheduling: they
+//! deliver each node's inbox, forward its outgoing messages, and assemble
+//! the global trace.
 
 use crate::commitment::{CommitmentChain, EpochCommitment};
 use crate::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
@@ -49,6 +50,11 @@ pub struct EpochReport {
     pub bytes_out: u64,
     /// Bytes received this epoch.
     pub bytes_in: u64,
+    /// Received envelopes dropped before the merge because they failed
+    /// to decode or authenticate: undecodable bytes, a sealed frame with
+    /// no session or a failed open, a plaintext frame reaching an SGX
+    /// node, or a stray handshake message.
+    pub dropped_envelopes: u64,
     /// The node's signed commitment to its post-epoch model: the chained
     /// digest over its epoch history plus the identity-binding HMAC tag
     /// (see [`crate::commitment`]).
@@ -200,28 +206,6 @@ impl<M: Model> Node<M> {
             cfg: ProtocolConfig::default(),
             shard: None,
         }
-    }
-
-    /// Creates a node with its initial local data.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use Node::builder(id, model).neighbors(..).train(..).test(..).protocol(..).build()"
-    )]
-    #[must_use]
-    pub fn new(
-        id: usize,
-        neighbors: Vec<usize>,
-        model: M,
-        train: Vec<Rating>,
-        test: Vec<Rating>,
-        cfg: ProtocolConfig,
-    ) -> Self {
-        Node::builder(id, model)
-            .neighbors(neighbors)
-            .train(train)
-            .test(test)
-            .protocol(cfg)
-            .build()
     }
 
     /// Node id.
@@ -402,18 +386,13 @@ impl<M: Model> Node<M> {
 
     /// Decodes (and in SGX mode decrypts) one received envelope into its
     /// inner payload. Returns `None` for undecodable/unauthenticated input
-    /// (dropped, as a real node would).
+    /// (dropped, as a real node would) — including a plaintext frame in
+    /// SGX mode, which any native-configured or hostile peer can send.
     fn open_envelope(&mut self, env: &Envelope) -> Option<Plain> {
         let payload = decode_payload(&env.bytes).ok()?;
         match payload {
-            Payload::Clear(frame) => {
-                assert!(
-                    self.tee.is_none(),
-                    "node {}: plaintext payload in SGX mode",
-                    self.id
-                );
-                decode_plain(&frame).ok()
-            }
+            Payload::Clear(_) if self.tee.is_some() => None,
+            Payload::Clear(frame) => decode_plain(&frame).ok(),
             Payload::Sealed(frame) => {
                 let tee = self.tee.as_mut()?;
                 let session = tee.sessions.get_mut(&env.from)?;
@@ -452,8 +431,10 @@ impl<M: Model> Node<M> {
         let mut alien_models: Vec<(u32, M)> = Vec::new();
         let mut new_points = 0usize;
         let mut merge_buffer_bytes = 0u64;
+        let mut dropped_envelopes = 0u64;
         for env in &inbox {
             let Some(plain) = self.open_envelope(env) else {
+                dropped_envelopes += 1;
                 continue;
             };
             match plain {
@@ -673,6 +654,7 @@ impl<M: Model> Node<M> {
                 new_points,
                 bytes_out,
                 bytes_in,
+                dropped_envelopes,
                 commitment,
             },
         )
@@ -1095,30 +1077,5 @@ mod tests {
             tee.epc().region_bytes(Region::DataStore) + index_bytes,
             n.store().memory_bytes() as u64
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_node_new_still_builds_the_same_node() {
-        let by_user = shard_data();
-        let c = cfg(SharingMode::RawData, GossipAlgorithm::DPsgd);
-        let model = MfModel::new(8, 30, MfHyperParams::default(), 3.5, 42);
-        let mut old = Node::new(
-            0,
-            vec![1],
-            model.clone(),
-            by_user[0].clone(),
-            by_user[1].clone(),
-            c,
-        );
-        let mut new = Node::builder(0, model)
-            .neighbors(vec![1])
-            .train(by_user[0].clone())
-            .test(by_user[1].clone())
-            .protocol(c)
-            .build();
-        let (out_old, _) = old.epoch(Vec::new());
-        let (out_new, _) = new.epoch(Vec::new());
-        assert_eq!(out_old, out_new);
     }
 }

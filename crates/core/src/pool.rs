@@ -1,13 +1,11 @@
-//! The work-stealing worker pool behind [`Driver::WorkSteal`].
+//! The work-stealing worker pool behind [`Driver::WorkSteal`] and
+//! [`Driver::BoundedAsync`].
 //!
-//! [`Driver::Lockstep`]'s optional parallel mode re-spawns scoped threads
-//! and re-partitions the fleet into fixed chunks every epoch — fine at 8
-//! nodes, wasteful at 1024, and unbalanced whenever node costs are skewed
-//! (stores grow at different rates, crashed nodes cost nothing). This
-//! pool keeps a **fixed set of workers alive for the whole run** and
+//! The pool keeps a **fixed set of workers alive for the whole run** and
 //! hands them node epochs through per-worker deques with work stealing,
 //! so a worker that finishes its share early drains its neighbours'
-//! backlogs instead of idling at the barrier.
+//! backlogs instead of idling at the barrier, and nothing is re-spawned
+//! or re-partitioned per epoch. One worker is the sequential schedule.
 //!
 //! # Determinism
 //! Scheduling order is *not* deterministic — which worker runs which node
@@ -23,16 +21,18 @@
 //! * the driver applies outgoing sends **after the phase barrier, in
 //!   canonical node order** — the same order the sequential driver uses.
 //!
-//! `tests/cross_backend.rs` and `tests/golden_trace.rs` hold this
-//! scheduler bit-identical to [`Driver::Lockstep`] across backends,
-//! native and SGX, with and without fault plans.
+//! `tests/cross_backend.rs` and `tests/golden_trace.rs` hold every
+//! worker count bit-identical to one worker and to
+//! [`Driver::ThreadPerNode`] across backends, native and SGX, with and
+//! without fault plans.
 //!
 //! Everything here is hand-rolled over `std::sync` primitives (mutexed
 //! deques, two reusable barriers, an atomic stop flag) — the container
 //! environment has no registry access, so no external executor crates.
 //!
 //! [`Driver::WorkSteal`]: crate::engine::Driver::WorkSteal
-//! [`Driver::Lockstep`]: crate::engine::Driver::Lockstep
+//! [`Driver::BoundedAsync`]: crate::engine::Driver::BoundedAsync
+//! [`Driver::ThreadPerNode`]: crate::engine::Driver::ThreadPerNode
 
 use crate::node::{EpochReport, Node};
 use rex_ml::Model;
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
 
 /// What one node's epoch hands back: encoded outgoing `(dest, bytes)`
-/// pairs plus the report (the engine's `EpochOutput` shape).
+/// pairs plus the report.
 type Output = (Vec<(usize, Vec<u8>)>, EpochReport);
 
 /// One node's work cell: the node itself (owned by the pool for the whole
@@ -139,8 +139,7 @@ impl<M: Model> WorkStealPool<M> {
     }
 
     /// Re-raises a panic a worker caught during the last phase, on the
-    /// driver thread — the pool's equivalent of `Driver::Lockstep`'s
-    /// "epoch worker panicked" join failure. Call after [`Self::run_phase`].
+    /// driver thread. Call after [`Self::run_phase`].
     pub(crate) fn check_panic(&self) {
         if let Some(msg) = lock(&self.failed).take() {
             panic!("{msg}");

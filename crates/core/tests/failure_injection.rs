@@ -10,7 +10,9 @@ use rex_core::runner::{run, Backend, SimulationConfig};
 use rex_core::Node;
 use rex_data::{Partition, SyntheticConfig, TrainTestSplit};
 use rex_ml::{MfHyperParams, MfModel};
+use rex_net::codec::{encode_payload, encode_plain};
 use rex_net::mem::Envelope;
+use rex_net::message::{Payload, Plain};
 use rex_tee::SgxCostModel;
 use rex_topology::TopologySpec;
 
@@ -21,7 +23,6 @@ fn attest_only(nodes: &mut Vec<Node<MfModel>>) {
         &Backend::Simulated(SimulationConfig {
             epochs: 0,
             execution: ExecutionMode::Sgx(SgxCostModel::default()),
-            parallel: false,
             ..Default::default()
         }),
         "setup",
@@ -81,6 +82,28 @@ fn tampered_sealed_frames_are_dropped_silently() {
         "corrupted frame must contribute nothing"
     );
     assert_eq!(nodes[1].store().len(), store_before);
+    assert_eq!(report.dropped_envelopes, 1, "the drop is counted");
+    assert!(report.rmse.is_some(), "protocol must keep running");
+}
+
+#[test]
+fn plaintext_frame_to_sgx_node_is_dropped_and_counted() {
+    // A native-configured (or hostile) peer sends a `Payload::Clear`
+    // frame to an SGX node: it must be dropped and counted like any
+    // unauthenticated input, never merged — and never panic the node.
+    let mut nodes = sgx_pair();
+    attest_only(&mut nodes);
+    let ratings = nodes[0].store().ratings()[..5].to_vec();
+    let bytes = encode_payload(&Payload::Clear(encode_plain(&Plain::RawData {
+        ratings,
+        degree: 1,
+    })));
+
+    let store_before = nodes[1].store().len();
+    let (_, report) = nodes[1].epoch(vec![Envelope { from: 0, bytes }]);
+    assert_eq!(report.new_points, 0, "plaintext frame was merged");
+    assert_eq!(nodes[1].store().len(), store_before);
+    assert_eq!(report.dropped_envelopes, 1, "the drop is counted");
     assert!(report.rmse.is_some(), "protocol must keep running");
 }
 
@@ -97,10 +120,12 @@ fn replayed_frames_are_rejected_by_session_counters() {
         bytes: bytes.clone(),
     }]);
     assert!(first.new_points > 0);
+    assert_eq!(first.dropped_envelopes, 0);
     // Replay: the AEAD nonce counter has advanced, so it must be dropped.
     let before = nodes[1].store().len();
     let (_, replay) = nodes[1].epoch(vec![Envelope { from: 0, bytes }]);
     assert_eq!(replay.new_points, 0, "replay accepted");
+    assert_eq!(replay.dropped_envelopes, 1, "the replay drop is counted");
     assert_eq!(nodes[1].store().len(), before);
 }
 
@@ -118,5 +143,9 @@ fn random_garbage_flood_does_not_panic() {
     }
     let (_, report) = nodes[1].epoch(inbox);
     assert_eq!(report.new_points, 0);
+    assert_eq!(
+        report.dropped_envelopes, 50,
+        "every garbage frame is counted"
+    );
     assert!(report.rmse.is_some());
 }

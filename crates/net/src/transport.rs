@@ -6,8 +6,8 @@
 //! engine drive all of them:
 //!
 //! * [`Transport`] — the *fabric* view: a connected set of `n` mailboxes
-//!   addressed by node id, with exact per-node [`TrafficStats`]. Lockstep
-//!   drivers (the simulator) talk to the fabric directly.
+//!   addressed by node id, with exact per-node [`TrafficStats`]. The
+//!   engine's pooled drivers (the simulator) talk to the fabric directly.
 //! * [`Endpoint`] — the *per-node* view: a handle that can be moved onto a
 //!   node's own OS thread. Fabrics that support real concurrency split
 //!   into endpoints via [`Transport::into_endpoints`].

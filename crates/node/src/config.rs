@@ -18,6 +18,7 @@
 
 use rex_core::config::{GossipAlgorithm, ProtocolConfig, SharingMode, WireCodec};
 use rex_core::membership::MembershipPlan;
+use rex_core::node_loop::WireAudit;
 use rex_data::ShardStrategy;
 use rex_net::fault::{CrashSpec, FaultPlan, LinkFaults, PartitionSpec};
 use rex_topology::TopologySpec;
@@ -36,7 +37,8 @@ pub enum NodeDriver {
     /// barrier — a node proceeds once shares from ≥ k distinct
     /// neighbours are consumable, applying stragglers' shares late
     /// under the canonical-order rule. See
-    /// [`crate::run_node_loop_async`] for the determinism contract.
+    /// [`rex_core::node_loop::run_node_loop_async`] for the determinism
+    /// contract.
     BoundedAsync {
         /// Minimum distinct neighbour shares consumed per epoch.
         k: usize,
@@ -1004,6 +1006,18 @@ impl ClusterConfig {
             codec: self.codec,
         }
     }
+
+    /// The wire-audit posture the `[audit]` section asks for (`None`
+    /// when the config has none), keyed by the protocol seed the
+    /// commitment keys derive from.
+    #[must_use]
+    pub fn wire_audit(&self) -> Option<WireAudit> {
+        self.audit.map(|a| WireAudit {
+            broadcast: a.broadcast,
+            verify: a.verify,
+            seed: self.protocol_seed,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1365,6 +1379,25 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn wire_audit_follows_the_audit_section_and_protocol_seed() {
+        assert!(sample().wire_audit().is_none(), "no [audit], no wire audit");
+        let cfg = ClusterConfig {
+            audit: Some(AuditConfig {
+                broadcast: false,
+                verify: true,
+            }),
+            protocol_seed: 0xA0D1,
+            ..sample()
+        };
+        let audit = cfg.wire_audit().expect("[audit] section present");
+        assert!(!audit.broadcast && audit.verify);
+        assert_eq!(
+            audit.seed, 0xA0D1,
+            "commitment keys derive from the protocol seed"
+        );
     }
 
     #[test]

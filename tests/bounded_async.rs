@@ -7,7 +7,7 @@
 //!
 //! * fixed `(seed, k)` ⇒ a bit-identical trajectory, run to run;
 //! * `k ≥ max degree` ⇒ no share is ever late ⇒ bit-identical to
-//!   `Driver::Lockstep` — the conformance anchor that pins the staleness
+//!   one-worker `Driver::WorkSteal` — the conformance anchor that pins the staleness
 //!   path onto the golden-traced synchronous semantics;
 //! * smaller `k` ⇒ a genuinely different (but still deterministic)
 //!   trajectory, with identical total traffic — staleness defers
@@ -99,7 +99,7 @@ fn k_at_least_degree_degenerates_to_lockstep() {
     // Every node has ≤ NODES-1 neighbours, so k = NODES means no share
     // is ever deferred and the trajectory must be *bit-identical* to the
     // synchronous driver that the golden traces pin.
-    let (lockstep, lock_nodes) = run(Driver::Lockstep { parallel: false }, 0xE0);
+    let (lockstep, lock_nodes) = run(Driver::WorkSteal { workers: 1 }, 0xE0);
     let (bounded, bounded_nodes) = run(Driver::BoundedAsync { k: NODES }, 0xE0);
     assert_eq!(rmse_bits(&lockstep), rmse_bits(&bounded));
     assert_eq!(lockstep.final_stats, bounded.final_stats);
@@ -115,7 +115,7 @@ fn k_at_least_degree_degenerates_to_lockstep() {
 
 #[test]
 fn small_k_changes_the_trajectory_but_not_the_traffic() {
-    let (lockstep, _) = run(Driver::Lockstep { parallel: false }, 0xE0);
+    let (lockstep, _) = run(Driver::WorkSteal { workers: 1 }, 0xE0);
     let (bounded, _) = run(Driver::BoundedAsync { k: 1 }, 0xE0);
     assert_ne!(
         rmse_bits(&lockstep),

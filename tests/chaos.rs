@@ -83,8 +83,8 @@ fn cfg(
     }
 }
 
-/// Runs a fleet over the fault-wrapped mem fabric (lockstep, simulated
-/// time).
+/// Runs a fleet over the fault-wrapped mem fabric (work-stealing pool,
+/// simulated time).
 fn run_mem(
     nodes: &mut Vec<Node<MfModel>>,
     epochs: usize,
@@ -97,7 +97,7 @@ fn run_mem(
             epochs,
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: true },
+            Driver::WorkSteal { workers: 0 },
             plan,
         ),
     )
@@ -125,8 +125,8 @@ fn run_channel(
     .run("channel", nodes)
 }
 
-/// Runs a fleet over fault-wrapped real loopback TCP sockets (lockstep
-/// fabric view: every frame still crosses the kernel).
+/// Runs a fleet over fault-wrapped real loopback TCP sockets (one-worker
+/// pool over the fabric view: every frame still crosses the kernel).
 fn run_tcp(
     nodes: &mut Vec<Node<MfModel>>,
     epochs: usize,
@@ -142,7 +142,7 @@ fn run_tcp(
             epochs,
             execution,
             TimeAxis::Wall,
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
             plan,
         ),
     )
@@ -593,7 +593,7 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
     let mem = run_churn(
         MemNetwork::new(NODES),
         TimeAxis::Simulated(Default::default()),
-        Driver::Lockstep { parallel: true },
+        Driver::WorkSteal { workers: 0 },
         &faults,
         &membership,
     );
@@ -607,14 +607,14 @@ fn audit_roots_survive_churn_and_loss_on_all_backends() {
     let tcp = run_churn(
         TcpTransport::loopback(NODES).expect("loopback fabric"),
         TimeAxis::Wall,
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         &faults,
         &membership,
     );
     let rerun = run_churn(
         MemNetwork::new(NODES),
         TimeAxis::Simulated(Default::default()),
-        Driver::Lockstep { parallel: true },
+        Driver::WorkSteal { workers: 0 },
         &faults,
         &membership,
     );

@@ -3,7 +3,7 @@
 //!
 //! The same fixed-seed fleet must produce *identical* per-node RMSE
 //! trajectories and byte counts whether it runs through the discrete-event
-//! [`MemNetwork`] fabric (lockstep driver, simulated time), the
+//! [`MemNetwork`] fabric (work-stealing pool, simulated time), the
 //! [`ChannelTransport`] fabric (one real OS thread per node, wall-clock
 //! time), or the [`TcpTransport`] fabric (real loopback sockets with
 //! length-prefixed framing, either driver). Only the time axis may
@@ -84,7 +84,7 @@ fn run_both(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("sim", &mut sim_nodes);
@@ -156,7 +156,7 @@ fn assert_equivalent(
     }
 }
 
-/// Runs the reference fleet over the mem fabric (lockstep, simulated
+/// Runs the reference fleet over the mem fabric (one worker, simulated
 /// time) and an identical fleet over real TCP loopback sockets with the
 /// given driver.
 #[allow(clippy::type_complexity)]
@@ -173,7 +173,7 @@ fn run_mem_vs_tcp(
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("sim", &mut sim_nodes);
@@ -204,7 +204,7 @@ fn reference_run(execution: ExecutionMode) -> (EngineResult, Vec<Node<MfModel>>)
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("reference", &mut nodes);
@@ -221,7 +221,7 @@ fn empty_fault_plan_is_identity_on_every_backend_native() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("faulty-mem", &mut mem_nodes);
@@ -258,7 +258,7 @@ fn empty_fault_plan_is_identity_on_every_backend_sgx() {
         engine_config(
             execution,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("faulty-mem-sgx", &mut mem_nodes);
@@ -374,7 +374,7 @@ fn run_headline(execution: ExecutionMode, driver: Driver) -> (EngineResult, Vec<
 
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_native() {
-    let seq = run_headline(ExecutionMode::Native, Driver::Lockstep { parallel: false });
+    let seq = run_headline(ExecutionMode::Native, Driver::WorkSteal { workers: 1 });
     let pool = run_headline(ExecutionMode::Native, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     // Fault accounting is part of the contract: liveness and the
@@ -400,7 +400,7 @@ fn work_steal_matches_sequential_under_chaos_headline_native() {
 #[test]
 fn work_steal_matches_sequential_under_chaos_headline_sgx() {
     let execution = ExecutionMode::Sgx(SgxCostModel::default());
-    let seq = run_headline(execution, Driver::Lockstep { parallel: false });
+    let seq = run_headline(execution, Driver::WorkSteal { workers: 1 });
     let pool = run_headline(execution, Driver::WorkSteal { workers: 4 });
     assert_equivalent(&seq, &pool);
     for (a, b) in seq.0.trace.records.iter().zip(&pool.0.trace.records) {
@@ -462,14 +462,14 @@ fn per_user_fleet(sharded: bool) -> Vec<Node<MfModel>> {
 #[test]
 fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
     // The pre-PR trajectory: the legacy per-user fleet on the reference
-    // backend (mem fabric, sequential lockstep, simulated time).
+    // backend (mem fabric, one worker, simulated time).
     let mut legacy_nodes = per_user_fleet(false);
     let legacy = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(legacy_nodes.len()),
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("legacy", &mut legacy_nodes);
@@ -478,7 +478,7 @@ fn width_one_sharded_fleet_matches_legacy_per_user_run_everywhere() {
     // The users_per_node = 1 sharded fleet must reproduce it bit-for-bit
     // on every fabric and driver.
     let drivers = [
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         Driver::WorkSteal { workers: 4 },
     ];
     for driver in drivers {
@@ -554,15 +554,16 @@ fn sgx_runs_agree_across_backends() {
 
 #[test]
 fn lockstep_channel_matches_mem_fabric() {
-    // The channel fabric driven in lockstep (no threads at all) must also
-    // match: transports are interchangeable under one driver too.
+    // The channel fabric driven through its fabric view (no node threads)
+    // must also match: transports are interchangeable under one driver
+    // too.
     let mut mem_nodes = fleet(SharingMode::Model, GossipAlgorithm::Rmw);
     let mem = Engine::<MfModel, MemNetwork>::new(
         MemNetwork::new(mem_nodes.len()),
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Simulated(Default::default()),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("mem", &mut mem_nodes);
@@ -573,7 +574,7 @@ fn lockstep_channel_matches_mem_fabric() {
         engine_config(
             ExecutionMode::Native,
             TimeAxis::Wall,
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         ),
     )
     .run("chan", &mut chan_nodes);
@@ -594,8 +595,8 @@ fn tcp_loopback_threaded_matches_mem_fabric() {
 
 #[test]
 fn tcp_loopback_lockstep_matches_mem_fabric() {
-    // The same sockets driven in lockstep (fabric view, no node threads).
-    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::Lockstep { parallel: false });
+    // The same sockets driven through the fabric view (no node threads).
+    let (sim, tcp) = run_mem_vs_tcp(ExecutionMode::Native, Driver::WorkSteal { workers: 1 });
     assert_equivalent(&sim, &tcp);
 }
 

@@ -2,13 +2,16 @@
 //! (the basis for every comparison in the bench harness).
 
 use rex_repro::core::builder::{build_mf_nodes, NodeSeeds};
-use rex_repro::core::config::{ExecutionMode, GossipAlgorithm, ProtocolConfig, SharingMode};
-use rex_repro::core::runner::{run, Backend, SimulationConfig};
+use rex_repro::core::config::{GossipAlgorithm, ProtocolConfig, SharingMode};
+use rex_repro::core::engine::{Driver, Engine, EngineConfig};
 use rex_repro::data::{Partition, SyntheticConfig, TrainTestSplit};
-use rex_repro::ml::MfHyperParams;
+use rex_repro::ml::{MfHyperParams, MfModel};
+use rex_repro::net::MemNetwork;
 use rex_repro::topology::TopologySpec;
 
-fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
+/// Runs the fleet on the work-stealing pool with `workers` threads
+/// (one worker is the sequential schedule).
+fn run_once(workers: usize, seed: u64) -> Vec<(f64, f64)> {
     let ds = SyntheticConfig {
         num_users: 24,
         num_items: 300,
@@ -36,16 +39,15 @@ fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
         },
         NodeSeeds::default(),
     );
-    let trace = run(
-        &Backend::Simulated(SimulationConfig {
+    let trace = Engine::<MfModel, MemNetwork>::new(
+        MemNetwork::new(nodes.len()),
+        EngineConfig {
             epochs: 15,
-            execution: ExecutionMode::Native,
-            parallel,
-            ..Default::default()
-        }),
-        "det",
-        &mut nodes,
+            driver: Driver::WorkSteal { workers },
+            ..EngineConfig::default()
+        },
     )
+    .run("det", &mut nodes)
     .trace;
     trace
         .records
@@ -56,23 +58,23 @@ fn run_once(parallel: bool, seed: u64) -> Vec<(f64, f64)> {
 
 #[test]
 fn identical_seeds_identical_trajectories() {
-    let a = run_once(false, 99);
-    let b = run_once(false, 99);
+    let a = run_once(1, 99);
+    let b = run_once(1, 99);
     assert_eq!(a, b);
 }
 
 #[test]
 fn parallel_execution_preserves_trajectory() {
-    // Rayon scheduling must not affect results: per-node RNGs, deterministic
+    // Pool scheduling must not affect results: per-node RNGs, deterministic
     // message ordering.
-    let seq = run_once(false, 7);
-    let par = run_once(true, 7);
+    let seq = run_once(1, 7);
+    let par = run_once(4, 7);
     assert_eq!(seq, par);
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_once(false, 1);
-    let b = run_once(false, 2);
+    let a = run_once(1, 1);
+    let b = run_once(1, 2);
     assert_ne!(a, b);
 }

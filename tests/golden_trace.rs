@@ -10,8 +10,7 @@
 //!   uniform loss, two crash-stop nodes;
 //! * `membership` — the dynamic-membership churn scenario: 6 founders,
 //!   two online joins (epochs 2 and 4, with sponsor bootstraps) and one
-//!   graceful leave (epoch 6). Pinned without the thread-per-node
-//!   driver, which rejects membership plans.
+//!   graceful leave (epoch 6).
 //!
 //! Each fixture records, per epoch, the fleet-mean RMSE and byte counts
 //! (as IEEE-754 bit patterns — *bit*-identical, not approximately equal),
@@ -31,11 +30,11 @@
 //! trace — the serving contract under the same regression net as the
 //! learning trajectory.
 //!
-//! Every run — mem fabric under the sequential, chunked-parallel and
-//! work-stealing drivers; channel fabric under thread-per-node,
-//! sequential lockstep and work-stealing; TCP loopback under sequential
-//! lockstep and work-stealing — must reproduce the fixture exactly,
-//! native mode. A mismatch means a scheduler or transport change
+//! Every run — mem fabric under the work-stealing pool with one, one
+//! per core and four workers; channel fabric under thread-per-node and
+//! the pool with one and three workers; TCP loopback under the pool with
+//! one and two workers — must reproduce the fixture exactly, native
+//! mode. A mismatch means a scheduler or transport change
 //! altered the learning trajectory or the byte accounting.
 //!
 //! # Regenerating
@@ -46,7 +45,7 @@
 //! REX_REGEN_FIXTURES=1 cargo test --test golden_trace
 //! ```
 //!
-//! The regeneration path rewrites the fixtures from the sequential mem
+//! The regeneration path rewrites the fixtures from the one-worker mem
 //! reference and then still checks every other driver against the fresh
 //! files, so a regen run cannot silently pin a divergent suite. Review
 //! the fixture diff like code: it *is* the experiment's contract.
@@ -315,35 +314,31 @@ fn golden_traces_hold_on_every_driver_and_backend() {
         let n = s.nodes;
         let sim_time = || TimeAxis::Simulated(Default::default());
 
-        // Reference: mem fabric, sequential lockstep — the generator.
+        // Reference: mem fabric, one worker — the generator.
         let (reference, reference_nodes) = run_combo(
             &s,
             MemNetwork::new(n),
             sim_time(),
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
         );
         let fixture = load_fixture(s.name, &render(&reference));
-        assert_matches_fixture(s.name, "mem/lockstep-seq", &fixture, &reference);
+        assert_matches_fixture(s.name, "mem/work-steal-1", &fixture, &reference);
         let serve_ref = render_serve(&s, &reference_nodes);
         serve_reference.push_str(&serve_ref);
 
-        // The same scenario through every other driver × backend. The
-        // thread-per-node driver rejects membership plans (view
-        // transitions are driven by the lockstep-shaped round loop; its
-        // deployed equivalent is pinned by `tests/tcp_cluster.rs`), so
-        // churn scenarios skip that one combination.
-        let mut combos: Vec<(&str, ComboRun)> = vec![
+        // The same scenario through every other driver × backend.
+        let combos: Vec<(&str, ComboRun)> = vec![
             (
-                "mem/lockstep-parallel",
+                "mem/work-steal-per-core",
                 run_combo(
                     &s,
                     MemNetwork::new(n),
                     sim_time(),
-                    Driver::Lockstep { parallel: true },
+                    Driver::WorkSteal { workers: 0 },
                 ),
             ),
             (
-                "mem/work-steal",
+                "mem/work-steal-4",
                 run_combo(
                     &s,
                     MemNetwork::new(n),
@@ -351,9 +346,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                     Driver::WorkSteal { workers: 4 },
                 ),
             ),
-        ];
-        if s.membership.is_none() {
-            combos.push((
+            (
                 "channel/thread-per-node",
                 run_combo(
                     &s,
@@ -361,11 +354,9 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                     TimeAxis::Wall,
                     Driver::ThreadPerNode,
                 ),
-            ));
-        }
-        combos.extend([
+            ),
             (
-                "channel/work-steal",
+                "channel/work-steal-3",
                 run_combo(
                     &s,
                     ChannelTransport::new(n),
@@ -374,25 +365,25 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                 ),
             ),
             (
-                "channel/lockstep-seq",
+                "channel/work-steal-1",
                 run_combo(
                     &s,
                     ChannelTransport::new(n),
                     TimeAxis::Wall,
-                    Driver::Lockstep { parallel: false },
+                    Driver::WorkSteal { workers: 1 },
                 ),
             ),
             (
-                "tcp/lockstep-seq",
+                "tcp/work-steal-1",
                 run_combo(
                     &s,
                     TcpTransport::loopback(n).expect("loopback fabric"),
                     TimeAxis::Wall,
-                    Driver::Lockstep { parallel: false },
+                    Driver::WorkSteal { workers: 1 },
                 ),
             ),
             (
-                "tcp/work-steal",
+                "tcp/work-steal-2",
                 run_combo(
                     &s,
                     TcpTransport::loopback(n).expect("loopback fabric"),
@@ -400,7 +391,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
                     Driver::WorkSteal { workers: 2 },
                 ),
             ),
-        ]);
+        ];
         for (combo, (result, nodes)) in &combos {
             assert_matches_fixture(s.name, combo, &fixture, result);
             // The serve replay — final models through the pruned scorer
@@ -408,7 +399,7 @@ fn golden_traces_hold_on_every_driver_and_backend() {
             assert_eq!(
                 render_serve(&s, nodes),
                 serve_ref,
-                "scenario {}: {combo} serve replay diverged from mem/lockstep-seq",
+                "scenario {}: {combo} serve replay diverged from mem/work-steal-1",
                 s.name
             );
         }

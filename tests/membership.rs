@@ -1,8 +1,7 @@
 //! Dynamic-membership acceptance suite: epoch-scoped views, online
 //! joins with attested state bootstrap, and graceful leaves with live
-//! topology rewiring — held bit-identical across **every lockstep-shaped
-//! driver × backend** combination, native and SGX, with and without
-//! fault plans.
+//! topology rewiring — held bit-identical across **every driver ×
+//! backend** combination, native and SGX, with and without fault plans.
 //!
 //! The deployed equivalent (a fifth OS process dialing a running
 //! 4-process TCP cluster) lives in `tests/tcp_cluster.rs`; the pinned
@@ -141,7 +140,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
     let sim = || TimeAxis::Simulated(Default::default());
     let (reference, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         sim(),
         ExecutionMode::Native,
         None,
@@ -149,10 +148,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
     let want = signature(&reference);
     let combos: Vec<(&str, EngineResult)> = vec![
         (
-            "mem/lockstep-parallel",
+            "mem/work-steal-per-core",
             run_churn(
                 MemNetwork::new(N),
-                Driver::Lockstep { parallel: true },
+                Driver::WorkSteal { workers: 0 },
                 sim(),
                 ExecutionMode::Native,
                 None,
@@ -160,7 +159,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "mem/work-steal",
+            "mem/work-steal-4",
             run_churn(
                 MemNetwork::new(N),
                 Driver::WorkSteal { workers: 4 },
@@ -171,10 +170,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "channel/lockstep-seq",
+            "channel/work-steal-1",
             run_churn(
                 ChannelTransport::new(N),
-                Driver::Lockstep { parallel: false },
+                Driver::WorkSteal { workers: 1 },
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -182,7 +181,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "channel/work-steal",
+            "channel/work-steal-3",
             run_churn(
                 ChannelTransport::new(N),
                 Driver::WorkSteal { workers: 3 },
@@ -193,10 +192,10 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "tcp/lockstep-seq",
+            "channel/thread-per-node",
             run_churn(
-                TcpTransport::loopback(N).expect("loopback fabric"),
-                Driver::Lockstep { parallel: false },
+                ChannelTransport::new(N),
+                Driver::ThreadPerNode,
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -204,10 +203,32 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
             .0,
         ),
         (
-            "tcp/work-steal",
+            "tcp/work-steal-1",
+            run_churn(
+                TcpTransport::loopback(N).expect("loopback fabric"),
+                Driver::WorkSteal { workers: 1 },
+                TimeAxis::Wall,
+                ExecutionMode::Native,
+                None,
+            )
+            .0,
+        ),
+        (
+            "tcp/work-steal-2",
             run_churn(
                 TcpTransport::loopback(N).expect("loopback fabric"),
                 Driver::WorkSteal { workers: 2 },
+                TimeAxis::Wall,
+                ExecutionMode::Native,
+                None,
+            )
+            .0,
+        ),
+        (
+            "tcp/thread-per-node",
+            run_churn(
+                TcpTransport::loopback(N).expect("loopback fabric"),
+                Driver::ThreadPerNode,
                 TimeAxis::Wall,
                 ExecutionMode::Native,
                 None,
@@ -224,7 +245,7 @@ fn churn_scenario_is_bit_identical_across_drivers_and_backends() {
 fn joiner_converges_and_leaver_detaches() {
     let (result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         None,
@@ -285,7 +306,7 @@ fn bootstrap_grows_joiner_store_before_first_epoch() {
     let run = |points: usize| {
         let mut nodes = fleet(SharingMode::RawData);
         let mut cfg = config(
-            Driver::Lockstep { parallel: false },
+            Driver::WorkSteal { workers: 1 },
             TimeAxis::Simulated(Default::default()),
             ExecutionMode::Native,
             None,
@@ -316,7 +337,7 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
     let sgx = ExecutionMode::Sgx(SgxCostModel::default());
     let (mem_result, nodes) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         sgx,
         None,
@@ -342,6 +363,37 @@ fn sgx_churn_installs_late_sessions_and_stays_bit_identical() {
 }
 
 #[test]
+fn sgx_churn_through_thread_per_node_matches_the_pool() {
+    // Under thread-per-node each node's own loop applies its slice of
+    // every transition, late-attested sessions included: SGX churn must
+    // replay the pooled run bit-for-bit.
+    let sgx = ExecutionMode::Sgx(SgxCostModel::default());
+    let (pooled, _) = run_churn(
+        MemNetwork::new(N),
+        Driver::WorkSteal { workers: 1 },
+        TimeAxis::Simulated(Default::default()),
+        sgx,
+        None,
+    );
+    let (threaded, nodes) = run_churn(
+        ChannelTransport::new(N),
+        Driver::ThreadPerNode,
+        TimeAxis::Wall,
+        sgx,
+        None,
+    );
+    assert_eq!(signature(&pooled), signature(&threaded));
+    for joiner in [6, 7] {
+        for &peer in nodes[joiner].neighbors() {
+            assert!(
+                nodes[joiner].has_session(peer),
+                "joiner {joiner} lacks a session with neighbour {peer}"
+            );
+        }
+    }
+}
+
+#[test]
 fn membership_composes_with_fault_plans() {
     // A lossy fabric plus a crash window over the sponsor's join epoch:
     // the schedule still replays bit-for-bit across backends, and the
@@ -349,7 +401,7 @@ fn membership_composes_with_fault_plans() {
     let faults = FaultPlan::uniform(0xFA01, LinkFaults::drop_rate(0.15)).with_crash(3, 1, Some(4));
     let (a, _) = run_churn(
         MemNetwork::new(N),
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),
@@ -359,9 +411,17 @@ fn membership_composes_with_fault_plans() {
         Driver::WorkSteal { workers: 2 },
         TimeAxis::Wall,
         ExecutionMode::Native,
+        Some(faults.clone()),
+    );
+    let (c, _) = run_churn(
+        ChannelTransport::new(N),
+        Driver::ThreadPerNode,
+        TimeAxis::Wall,
+        ExecutionMode::Native,
         Some(faults),
     );
     assert_eq!(signature(&a), signature(&b));
+    assert_eq!(signature(&a), signature(&c), "thread-per-node diverged");
     let total = a.trace.total_delivery();
     assert!(total.dropped > 0, "no loss realized under a 15% drop plan");
 }
@@ -381,7 +441,7 @@ fn dropped_bootstrap_is_deterministic_not_fatal() {
     .with_join(6, 2, Some(0));
     let faults = FaultPlan::default().with_link(0, 6, LinkFaults::drop_rate(1.0));
     let mut cfg = config(
-        Driver::Lockstep { parallel: false },
+        Driver::WorkSteal { workers: 1 },
         TimeAxis::Simulated(Default::default()),
         ExecutionMode::Native,
         Some(faults.clone()),

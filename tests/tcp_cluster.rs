@@ -168,7 +168,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
     assert!(joiner.stats.msgs_in > 0, "joiner converged into the gossip");
     assert!(deployed[1].rmse_trace_bits[4].is_none(), "leaver departed");
 
-    // And the engine agrees: same fleet, same schedule, lockstep over
+    // And the engine agrees: same fleet, same schedule, one worker over
     // the mem fabric — per-node final models, stores, and traffic.
     let mut nodes = rex_repro::node::build_fleet(&cfg);
     let result = Engine::<MfModel, MemNetwork>::new(
@@ -177,7 +177,7 @@ fn fifth_process_joins_running_cluster_bit_for_bit() {
             epochs: cfg.epochs,
             execution: ExecutionMode::Native,
             time: TimeAxis::Wall,
-            driver: Driver::Lockstep { parallel: false },
+            driver: Driver::WorkSteal { workers: 1 },
             processes_per_platform: cfg.processes_per_platform,
             seed: cfg.infra_seed,
             faults: None,
